@@ -1,8 +1,9 @@
 // Copyright 2026 The gkmeans Authors.
-// SearchBatcher implementation. Wall-clock only bounds how long a query
-// may wait (CondVar::WaitFor deadline); it never reaches the coalesced
-// call or any model state, so serving latency policy cannot perturb
-// results or checkpoints (docs/architecture.md determinism contract).
+// SearchBatcher implementation. Flushing is self-clocking: no timer, no
+// deadline. The only clock read is the queue-wait telemetry stamp, which
+// never reaches the coalesced call or any model state, so batching cannot
+// perturb results or checkpoints (docs/architecture.md determinism
+// contract).
 
 #include "serve/batch_queue.h"
 
@@ -26,7 +27,9 @@ Admission SearchBatcher::TrySubmit(SearchJob job) {
     }
     Pending p;
     p.job = std::move(job);
+#if GKM_STATS_ENABLED
     p.enqueue_ns = obs::MonotonicNanos();
+#endif
     queue_.push_back(std::move(p));
     pending_rows_ += rows;
   }
@@ -44,34 +47,23 @@ bool SearchBatcher::FlushOnce() {
     });
     if (queue_.empty()) return false;  // stopped and drained
 
-    // Wait out the coalescing window: full batch, expired delay bound
-    // (measured from the OLDEST pending job), or stop — whichever first.
-    // The deadline is recomputed each wake because the predicate can win
-    // spuriously; stopped_ flushes immediately to drain fast.
-    const std::int64_t deadline_ns =
-        queue_.front().enqueue_ns + policy_.max_delay_us * 1000;
-    while (!stopped_ && pending_rows_ < policy_.max_batch) {
-      const std::int64_t now_ns = obs::MonotonicNanos();
-      if (now_ns >= deadline_ns) break;
-      cv_.WaitFor(mu_, std::chrono::nanoseconds(deadline_ns - now_ns),
-                  [this]() GKM_REQUIRES(mu_) {
-                    return stopped_ || pending_rows_ >= policy_.max_batch;
-                  });
-    }
-
-    // Drain whole jobs up to max_batch rows (the last job may overshoot;
-    // it is never split, so every job completes from exactly one flush).
+    // Self-clocking: flush whatever is queued right now. Drain whole jobs
+    // up to max_batch rows (the last job may overshoot; it is never split,
+    // so every job completes from exactly one flush). The lock is held
+    // from wake to drain, so a sibling worker cannot empty the queue
+    // first and the batch is never empty.
+#if GKM_STATS_ENABLED
+    const std::int64_t flush_ns = obs::MonotonicNanos();
+#endif
     while (!queue_.empty() && batch_rows < policy_.max_batch) {
+      GKM_HISTOGRAM_RECORD(
+          "serve.batcher.queue_wait_us",
+          static_cast<double>(flush_ns - queue_.front().enqueue_ns) / 1e3);
       batch_rows += queue_.front().job.queries.rows();
       batch.push_back(std::move(queue_.front().job));
       queue_.pop_front();
     }
     pending_rows_ -= batch_rows;
-
-    // Multi-consumer race: while this worker waited out the delay bound
-    // (mutex released inside WaitFor), another worker may have drained the
-    // whole window. An empty wake is not a stop signal — go around again.
-    if (batch.empty()) return !stopped_;
   }
 
   GKM_TRACE_SPAN("serve.batcher.flush");

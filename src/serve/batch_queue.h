@@ -2,8 +2,9 @@
 // The serving daemon's admission-controlled queues, built as pure
 // in-process components (no sockets): a generic bounded MPSC queue for
 // ingest ops and a micro-batching search queue that coalesces concurrent
-// queries into one SearchKnnBatch-shaped call under a max-batch /
-// max-delay policy.
+// queries into one SearchKnnBatch-shaped call. Batching is self-clocking:
+// a free consumer flushes whatever is queued at once, so batches grow
+// only while every consumer is busy (backlog), never by waiting.
 //
 // Back-pressure contract (docs/serving.md): admission is non-blocking.
 // When a queue is at capacity, TrySubmit/TryPush return a refusal the
@@ -20,7 +21,6 @@
 #ifndef GKM_SERVE_BATCH_QUEUE_H_
 #define GKM_SERVE_BATCH_QUEUE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -30,6 +30,7 @@
 #include "common/matrix.h"
 #include "common/mutex.h"
 #include "common/top_k.h"
+#include "obs/metrics.h"
 
 namespace gkm::serve {
 
@@ -95,14 +96,13 @@ class BoundedQueue {
   bool stopped_ GKM_GUARDED_BY(mu_) = false;
 };
 
-/// Coalescing policy. A flush fires as soon as `max_batch` query rows are
-/// pending, or `max_delay_us` after the OLDEST pending row arrived —
-/// whichever comes first — so trickle traffic is never parked longer
-/// than the delay bound and bursts fill SIMD lanes.
+/// Coalescing policy. There is no timer: a consumer that finds work
+/// flushes it immediately, taking whole jobs up to `max_batch` rows. A
+/// lone query therefore never waits for company, and the batch size
+/// tracks the backlog that built up while the consumers were busy.
 struct BatchPolicy {
-  std::size_t max_batch = 64;      ///< query rows per coalesced search
-  std::int64_t max_delay_us = 500; ///< oldest-row wait bound
-  std::size_t max_pending = 4096;  ///< admission cap on queued rows
+  std::size_t max_batch = 64;     ///< query rows per coalesced search
+  std::size_t max_pending = 4096; ///< admission cap on queued rows
 };
 
 /// One pending search: `queries` rows at `topk`, completed exactly once
@@ -114,13 +114,14 @@ struct SearchJob {
 };
 
 /// Micro-batching search queue. Producers TrySubmit jobs; consumers loop
-/// FlushOnce, which blocks per the policy, coalesces whole jobs into a
-/// single Matrix, runs `fn` ONCE at the group's max top-k, and completes
-/// each job with its truncated slice. Multiple consumers may loop
-/// FlushOnce concurrently (the server's replica read path runs several
-/// search workers); each flush drains whole jobs under the lock, so a job
-/// is completed by exactly one worker. Drivable synchronously in tests:
-/// submit from the same thread, then call FlushOnce.
+/// FlushOnce, which blocks until work arrives, coalesces the queued whole
+/// jobs (up to max_batch rows) into a single Matrix, runs `fn` ONCE at
+/// the group's max top-k, and completes each job with its truncated
+/// slice. Multiple consumers may loop FlushOnce concurrently (the
+/// server's replica read path runs several search workers); each flush
+/// drains whole jobs under the lock, so a job is completed by exactly one
+/// worker. Drivable synchronously in tests: submit from the same thread,
+/// then call FlushOnce.
 class SearchBatcher {
  public:
   using SearchFn = std::function<std::vector<std::vector<Neighbor>>(
@@ -134,12 +135,10 @@ class SearchBatcher {
   /// whole (flushes are whole-job: one oversized flush, never a split).
   Admission TrySubmit(SearchJob job);
 
-  /// Consumer step: waits for work (or Stop), honors the max-batch /
-  /// max-delay policy, then flushes one coalesced group. Returns false
-  /// only when stopped AND drained (a wake that finds the window already
-  /// drained by a sibling worker returns true: go around again). After
-  /// Stop() remaining jobs flush immediately without waiting out the
-  /// delay bound.
+  /// Consumer step: blocks (without polling) until work or Stop arrives,
+  /// then flushes the queued whole jobs, up to max_batch rows, as one
+  /// coalesced group. Returns false only when stopped AND drained; after
+  /// Stop() the remaining jobs keep flushing.
   bool FlushOnce();
 
   /// Wakes the consumer and refuses new work; accepted jobs still flush.
@@ -151,7 +150,9 @@ class SearchBatcher {
  private:
   struct Pending {
     SearchJob job;
-    std::int64_t enqueue_ns = 0;
+#if GKM_STATS_ENABLED
+    std::int64_t enqueue_ns = 0;  ///< for serve.batcher.queue_wait_us
+#endif
   };
 
   const BatchPolicy policy_;

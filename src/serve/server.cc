@@ -3,10 +3,11 @@
 // their own pure components (protocol.cc, batch_queue.cc); this file is
 // only the socket plumbing, the dispatch table, and the lifecycle.
 //
-// No wall-clock reads here: latency policy (the only time-dependent
-// behavior) is entirely inside SearchBatcher, and the model mutates only
-// on the ingest worker in queue-acceptance order — so nothing in this
-// file can make two runs over the same accepted-op sequence diverge.
+// No wall-clock reads here, and no timed waits anywhere on the request
+// path: SearchBatcher is self-clocking (a free search worker flushes at
+// once). The model mutates only on the ingest worker in queue-acceptance
+// order, so nothing in this file can make two runs over the same
+// accepted-op sequence diverge.
 
 #include "serve/server.h"
 

@@ -6,15 +6,23 @@
 //    per query, exactly what a standalone SearchKnn returns — including
 //    when jobs with different top-k are grouped (max-topk search +
 //    per-job truncation, the k-prefix property).
-//  * Policy: a full batch flushes without waiting; a lone trickle query
-//    flushes once the max-delay bound expires, never earlier.
+//  * Policy (self-clocking): one FlushOnce completes a lone queued job
+//    without any deadline; jobs queued before a flush coalesce into one
+//    call capped at max_batch rows, and the next flush takes the rest.
+//  * Telemetry: every flushed job records its queue wait.
+//  * Idle cost: a worker blocked in FlushOnce on an empty batcher sleeps
+//    (near-zero thread CPU) and wakes promptly on TrySubmit and Stop().
 //  * Back-pressure: admission beyond capacity returns kOverloaded
 //    immediately (never blocks); accepted work always completes.
-//  * Lifecycle: Stop() refuses new work, drains accepted jobs without
-//    waiting out the delay bound, then FlushOnce reports done.
+//  * Lifecycle: Stop() refuses new work, drains accepted jobs, then
+//    FlushOnce reports done.
+
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -23,6 +31,7 @@
 #include "dataset/synthetic.h"
 #include "gtest/gtest.h"
 #include "obs/clock.h"
+#include "obs/metrics.h"
 #include "serve/batch_queue.h"
 #include "stream/sharded_online_knn_graph.h"
 
@@ -95,8 +104,7 @@ TEST(SearchBatcher, CoalescedEqualsPerQueryOnRealGraph) {
   }
 
   BatchPolicy policy;
-  policy.max_batch = 8;  // 24 pending rows => 3 full flushes, no delay wait
-  policy.max_delay_us = 60 * 1000 * 1000;  // must not matter: batches fill
+  policy.max_batch = 8;  // 24 pending rows => 3 full flushes
   SearchBatcher batcher(policy, [&graph](const Matrix& q, std::uint32_t k) {
     return graph.SearchKnnBatch(q, k);
   });
@@ -143,52 +151,115 @@ TEST(SearchBatcher, CoalescedEqualsPerQueryOnRealGraph) {
   }
 }
 
-TEST(SearchBatcher, FullBatchFlushesWithoutDelayWait) {
+TEST(SearchBatcher, LoneJobCompletesInOneFlush) {
   FakeSearch fake;
-  BatchPolicy policy;
-  policy.max_batch = 4;
-  policy.max_delay_us = 60 * 1000 * 1000;  // a hang here fails the test run
-  SearchBatcher batcher(policy, fake.Fn());
-
-  Matrix q = MakeData(4);
-  std::vector<std::vector<Neighbor>> sink;
-  for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(batcher.TrySubmit(OneRowJob(q.Row(i), 2, &sink)),
-              Admission::kAccepted);
-  }
-  ASSERT_TRUE(batcher.FlushOnce());
-  ASSERT_EQ(fake.calls.size(), 1u);  // one coalesced call...
-  EXPECT_EQ(fake.calls[0].first, 4u);
-  EXPECT_EQ(sink.size(), 4u);  // ...completing every job
-  EXPECT_EQ(batcher.pending_rows(), 0u);
-}
-
-TEST(SearchBatcher, MaxDelayHonoredUnderTrickleLoad) {
-  FakeSearch fake;
-  BatchPolicy policy;
-  policy.max_batch = 64;  // never fills: only the delay bound can flush
-  policy.max_delay_us = 20 * 1000;
-  SearchBatcher batcher(policy, fake.Fn());
+  SearchBatcher batcher(BatchPolicy(), fake.Fn());  // max_batch 64
 
   Matrix q = MakeData(1);
   std::vector<std::vector<Neighbor>> sink;
   ASSERT_EQ(batcher.TrySubmit(OneRowJob(q.Row(0), 3, &sink)),
             Admission::kAccepted);
-  const std::int64_t t0 = obs::MonotonicNanos();
+  // The batch is far from full, yet the flush does not wait for company:
+  // the one queued job is searched and completed by this single call.
   ASSERT_TRUE(batcher.FlushOnce());
-  const std::int64_t waited_ns = obs::MonotonicNanos() - t0;
-  // The lone query flushed despite the batch never filling, and not
-  // before its delay bound expired.
-  EXPECT_EQ(sink.size(), 1u);
-  EXPECT_GE(waited_ns, policy.max_delay_us * 1000);
+  ASSERT_EQ(fake.calls.size(), 1u);
+  EXPECT_EQ(fake.calls[0].first, 1u);
+  ASSERT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink[0].size(), 3u);
+  EXPECT_EQ(batcher.pending_rows(), 0u);
+}
+
+TEST(SearchBatcher, QueuedJobsCoalesceUpToMaxBatch) {
+  FakeSearch fake;
+  BatchPolicy policy;
+  policy.max_batch = 4;
+  SearchBatcher batcher(policy, fake.Fn());
+  const auto& queue_wait = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.batcher.queue_wait_us");
+  const std::uint64_t waits_before = queue_wait.Count();
+
+  Matrix q = MakeData(6);
+  std::vector<std::vector<Neighbor>> sink;
+  for (std::size_t i = 0; i < 6; ++i) {
+    ASSERT_EQ(batcher.TrySubmit(OneRowJob(q.Row(i), 2, &sink)),
+              Admission::kAccepted);
+  }
+  // Backlog of 6 rows: the first flush takes max_batch of them in one
+  // coalesced call...
+  ASSERT_TRUE(batcher.FlushOnce());
+  ASSERT_EQ(fake.calls.size(), 1u);
+  EXPECT_EQ(fake.calls[0].first, 4u);
+  EXPECT_EQ(sink.size(), 4u);
+  EXPECT_EQ(batcher.pending_rows(), 2u);
+  // ...and the second flush takes the remainder.
+  ASSERT_TRUE(batcher.FlushOnce());
+  ASSERT_EQ(fake.calls.size(), 2u);
+  EXPECT_EQ(fake.calls[1].first, 2u);
+  EXPECT_EQ(sink.size(), 6u);
+  EXPECT_EQ(batcher.pending_rows(), 0u);
+  // One queue-wait sample per job; none when telemetry is compiled out.
+  EXPECT_EQ(queue_wait.Count() - waits_before, GKM_STATS_ENABLED ? 6u : 0u);
+}
+
+/// CPU time (user + system) the calling thread has used so far.
+std::int64_t ThreadCpuNanos() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  const auto ns = [](const timeval& tv) {
+    return static_cast<std::int64_t>(tv.tv_sec) * 1000000000 +
+           static_cast<std::int64_t>(tv.tv_usec) * 1000;
+  };
+  return ns(ru.ru_utime) + ns(ru.ru_stime);
+}
+
+TEST(SearchBatcher, IdleWorkerSleepsAndWakesPromptly) {
+  FakeSearch fake;
+  SearchBatcher batcher(BatchPolicy(), fake.Fn());
+  constexpr auto kIdle = std::chrono::milliseconds(100);
+  // Generous wake bound (sanitizer builds, loaded hosts); a worker that
+  // missed its wake-up would block forever, not for a second.
+  constexpr std::int64_t kPromptNs = 1000 * 1000 * 1000;
+
+  std::promise<void> answered;
+  std::int64_t idle_cpu_ns = -1;
+  std::thread worker([&batcher, &idle_cpu_ns] {
+    const std::int64_t cpu0 = ThreadCpuNanos();
+    EXPECT_TRUE(batcher.FlushOnce());  // idle ~kIdle, then one job
+    idle_cpu_ns = ThreadCpuNanos() - cpu0;
+    EXPECT_FALSE(batcher.FlushOnce());  // idle until Stop()
+  });
+
+  std::this_thread::sleep_for(kIdle);
+  Matrix q = MakeData(1);
+  std::vector<std::vector<Neighbor>> sink;
+  SearchJob job = OneRowJob(q.Row(0), 2, &sink);
+  job.done = [&sink, &answered](std::vector<std::vector<Neighbor>> r) {
+    sink.push_back(std::move(r[0]));
+    answered.set_value();
+  };
+  const std::int64_t submit_ns = obs::MonotonicNanos();
+  ASSERT_EQ(batcher.TrySubmit(std::move(job)), Admission::kAccepted);
+  answered.get_future().wait();
+  EXPECT_LT(obs::MonotonicNanos() - submit_ns, kPromptNs);
+
+  std::this_thread::sleep_for(kIdle);
+  const std::int64_t stop_ns = obs::MonotonicNanos();
+  batcher.Stop();
+  worker.join();
+  EXPECT_LT(obs::MonotonicNanos() - stop_ns, kPromptNs);
+
+  // A blocked worker sleeps on the condvar. A spinning or polling one
+  // would burn most of the idle interval; allow a tenth of it for the
+  // flush itself and scheduler noise.
+  EXPECT_GE(idle_cpu_ns, 0);
+  EXPECT_LT(idle_cpu_ns, 10 * 1000 * 1000);
+  EXPECT_EQ(sink.size(), 1u);
+  EXPECT_EQ(fake.calls.size(), 1u);
 }
 
 TEST(SearchBatcher, OverloadedReturnsImmediatelyNeverBlocks) {
   FakeSearch fake;
   BatchPolicy policy;
-  policy.max_batch = 64;
-  policy.max_delay_us = 1000;
   policy.max_pending = 4;
   SearchBatcher batcher(policy, fake.Fn());
 
@@ -220,10 +291,7 @@ TEST(SearchBatcher, OverloadedReturnsImmediatelyNeverBlocks) {
 
 TEST(SearchBatcher, StopDrainsAcceptedJobsThenReportsDone) {
   FakeSearch fake;
-  BatchPolicy policy;
-  policy.max_batch = 64;
-  policy.max_delay_us = 60 * 1000 * 1000;  // stop must NOT wait this out
-  SearchBatcher batcher(policy, fake.Fn());
+  SearchBatcher batcher(BatchPolicy(), fake.Fn());
 
   Matrix q = MakeData(2);
   std::vector<std::vector<Neighbor>> sink;
@@ -234,7 +302,7 @@ TEST(SearchBatcher, StopDrainsAcceptedJobsThenReportsDone) {
   batcher.Stop();
   EXPECT_EQ(batcher.TrySubmit(OneRowJob(q.Row(0), 2, &sink)),
             Admission::kStopped);
-  // Accepted jobs drain promptly (no 60 s delay wait), then done.
+  // Accepted jobs still drain after Stop(), then done.
   EXPECT_TRUE(batcher.FlushOnce());
   EXPECT_EQ(sink.size(), 2u);
   EXPECT_FALSE(batcher.FlushOnce());

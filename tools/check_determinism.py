@@ -59,10 +59,6 @@ CLOCK_ALLOWLIST = {
                           "bound, never model state",
     "src/common/thread_pool.h": "worker idle-wait bounds — never model "
                                 "state",
-    "src/serve/batch_queue.cc": "micro-batch flush deadlines "
-                                "(chrono::nanoseconds wait bounds) — "
-                                "batching latency policy, never model "
-                                "state",
 }
 
 # Randomness may only live in the seeded generator itself.
@@ -216,6 +212,10 @@ def self_test():
             "int f() { return std::mt19937(7)(); }\n", "banned-random"),
         "src/stream/bad_clock.cc": (
             "auto t = std::chrono::steady_clock::now();\n", "banned-clock"),
+        # The search batcher is self-clocking: no timed wait, no clock.
+        "src/serve/batch_queue.cc": (
+            "cv.WaitFor(mu, std::chrono::nanoseconds(500));\n",
+            "banned-clock"),
         "src/stream/bad_unordered.h": (
             "#include <unordered_map>\n"
             "std::unordered_map<int, int> state_;\n", "unordered-state"),
