@@ -59,8 +59,10 @@ class ThreadPool {
   /// chunk per slot and no two indices with the same slot ever run
   /// concurrently, so callers can keep per-slot scratch (visited stamps,
   /// buffers) without any further synchronization. Coarser chunking than
-  /// ParallelFor — slot affinity is traded against load balance. The inline
-  /// fallback for small ranges or single-threaded pools uses slot 0.
+  /// ParallelFor — slot affinity is traded against load balance. The calling
+  /// thread runs slot 0's chunk itself while the workers run the rest, and
+  /// the inline fallback for small ranges or single-threaded pools uses
+  /// slot 0 too.
   /// Concurrent submitters each get the full slot range; per-slot state
   /// must therefore be per-submitter too (as with the per-shard ingest
   /// scratch in the sharded online graph).

@@ -89,6 +89,11 @@ class TopK {
   /// Read-only view of the unordered contents.
   const std::vector<Neighbor>& items() const { return heap_; }
 
+  /// Empties the set, keeping its capacity, so one TopK can serve a loop
+  /// of independent queries without reallocating. Pushes after Clear()
+  /// leave exactly the heap a freshly constructed TopK would.
+  void Clear() { heap_.clear(); }
+
  private:
   static bool ByDist(const Neighbor& a, const Neighbor& b) { return a < b; }
 

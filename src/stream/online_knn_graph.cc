@@ -880,39 +880,31 @@ void OnlineKnnGraph::Remove(std::uint32_t id,
   // SQ8 mode has no fp32 originals: repair distances are exact over the
   // decoded rows — the same value space every committed edge already lives
   // in, so repaired edges rank consistently against walk-committed ones.
-  const bool sq8 = sq8_trained_;
-  std::vector<float> dec_r(sq8 ? d : 0), dec_s(sq8 ? d : 0);
-  for (const std::uint32_t r : ring) {
-    bool changed = graph_.RemoveNeighbor(r, id);
-    const float* pr;
-    if (sq8) {
+  // Each ring row is decoded once, and each member scores the whole ring
+  // in one gathered batch (bit-identical to per-pair L2Sqr).
+  const std::size_t rn = ring.size();
+  std::vector<float> decoded(sq8_trained_ ? rn * d : 0);
+  std::vector<const float*> ring_rows(rn);
+  for (std::size_t i = 0; i < rn; ++i) {
+    if (sq8_trained_) {
       Sq8Decode(sq8_quant_,
-                sq8_codes_.data() + static_cast<std::size_t>(r) * d, d,
-                dec_r.data());
-      pr = dec_r.data();
+                sq8_codes_.data() + static_cast<std::size_t>(ring[i]) * d, d,
+                decoded.data() + i * d);
+      ring_rows[i] = decoded.data() + i * d;
     } else {
-      pr = points_.Row(r);
+      ring_rows[i] = points_.Row(ring[i]);
     }
-    for (const std::uint32_t s : ring) {
-      if (s == r) continue;
-      const float* ps;
-      if (sq8) {
-        Sq8Decode(sq8_quant_,
-                  sq8_codes_.data() + static_cast<std::size_t>(s) * d, d,
-                  dec_s.data());
-        ps = dec_s.data();
-      } else {
-        ps = points_.Row(s);
-      }
-      const float dist = L2Sqr(pr, ps, d);
-      changed = graph_.Update(r, s, dist) || changed;
+  }
+  std::vector<float> ring_dist(rn);
+  for (std::size_t i = 0; i < rn; ++i) {
+    const std::uint32_t r = ring[i];
+    bool changed = graph_.RemoveNeighbor(r, id);
+    L2SqrBatchGather(ring_rows[i], ring_rows.data(), rn, d, ring_dist.data());
+    for (std::size_t j = 0; j < rn; ++j) {
+      if (j == i) continue;
+      changed = graph_.Update(r, ring[j], ring_dist[j]) || changed;
     }
     if (changed && repaired != nullptr) repaired->push_back(r);
-  }
-  if (repaired != nullptr) {
-    std::sort(repaired->begin(), repaired->end());
-    repaired->erase(std::unique(repaired->begin(), repaired->end()),
-                    repaired->end());
   }
 
   if (pending_dead_.size() >= kPurgeMinPending &&

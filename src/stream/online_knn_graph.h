@@ -379,7 +379,9 @@ class OnlineKnnGraph {
   /// neighborhood stays connected once the node drops out. Stale in-edges
   /// from further away remain until the amortized compaction pass — walks
   /// ignore them. Ids of nodes whose lists changed are appended to
-  /// `repaired` (sorted, deduplicated) when non-null.
+  /// `repaired` when non-null: ascending and distinct within one call,
+  /// but never merged with what the vector already holds — a caller that
+  /// collects several removals dedupes once at the end.
   ///
   /// Must be called from the ingest thread (it serializes with commits
   /// under the writer lock). Deterministic: the graph remains a pure

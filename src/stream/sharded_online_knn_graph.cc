@@ -8,7 +8,6 @@
 
 #include "common/kernels.h"
 #include "common/macros.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -27,6 +26,18 @@ OnlineGraphParams ShardParams(const OnlineGraphParams& base, std::size_t s) {
   return p;
 }
 
+// Persistent writer threads for InsertBatch: one per shard beyond the
+// first (the calling thread writes the last non-empty shard), capped at the
+// hardware thread count — extra shards then queue, which changes no
+// result. Created once with the graph, so a window pays a condvar wake per
+// extra shard rather than a thread create/join.
+std::unique_ptr<ThreadPool> MakeWriters(std::size_t num_shards) {
+  if (num_shards < 2) return nullptr;
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::make_unique<ThreadPool>(std::min(num_shards - 1, hw));
+}
+
 }  // namespace
 
 std::size_t ShardedArenaBound(const std::size_t* rows_per_shard,
@@ -42,7 +53,7 @@ std::size_t ShardedArenaBound(const std::size_t* rows_per_shard,
 
 ShardedOnlineKnnGraph::ShardedOnlineKnnGraph(std::size_t dim,
                                              const OnlineGraphParams& params)
-    : params_(params) {
+    : params_(params), writers_(MakeWriters(params.shards)) {
   GKM_CHECK_MSG(params.shards >= 1, "shard count must be positive");
   shards_.reserve(params.shards);
   for (std::size_t s = 0; s < params.shards; ++s) {
@@ -52,7 +63,7 @@ ShardedOnlineKnnGraph::ShardedOnlineKnnGraph(std::size_t dim,
 
 ShardedOnlineKnnGraph::ShardedOnlineKnnGraph(
     std::vector<OnlineShardParts> parts, const OnlineGraphParams& params)
-    : params_(params) {
+    : params_(params), writers_(MakeWriters(params.shards)) {
   GKM_CHECK_MSG(params.shards >= 1 && parts.size() == params.shards,
                 "shard parts do not match the configured shard count");
   shards_.reserve(parts.size());
@@ -199,13 +210,13 @@ std::uint32_t ShardedOnlineKnnGraph::InsertBatch(
     }
   }
 
-  // Multi-writer phase: one writer thread per non-empty shard (the last
-  // runs on the calling thread). Each writer commits under its own shard's
-  // lock only — run_shard touches nothing but its shard `s` and the
-  // per-shard output slots owned by that writer, so no cross-thread state
-  // needs a capability here; walk fan-out additionally shares `pool`
-  // across writers, which the per-call completion latches in ThreadPool
-  // make safe.
+  // Multi-writer phase: every non-empty shard but the last goes to one of
+  // the persistent writer threads, the last runs on the calling thread.
+  // Each writer commits under its own shard's lock only — run_shard
+  // touches nothing but its shard `s` and the per-shard output slots owned
+  // by that writer, so no cross-thread state needs a capability here; walk
+  // fan-out additionally shares `pool` across writers, which the per-call
+  // completion latches in ThreadPool make safe.
   std::vector<std::vector<std::uint32_t>> shard_touched(num_shards);
   std::vector<std::vector<std::uint32_t>> shard_assigned(num_shards);
   auto run_shard = [&](std::size_t s) {
@@ -215,17 +226,16 @@ std::uint32_t ShardedOnlineKnnGraph::InsertBatch(
                            &shard_assigned[s],
                            modes != nullptr ? &shard_modes[s] : nullptr);
   };
-  std::vector<std::size_t> active;
+  std::size_t last = num_shards;
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (!rows_of[s].empty()) active.push_back(s);
+    if (rows_of[s].empty()) continue;
+    if (last != num_shards) {
+      writers_->Submit([&run_shard, last] { run_shard(last); });
+    }
+    last = s;
   }
-  std::vector<std::thread> writers;
-  writers.reserve(active.size() > 0 ? active.size() - 1 : 0);
-  for (std::size_t i = 0; i + 1 < active.size(); ++i) {
-    writers.emplace_back(run_shard, active[i]);
-  }
-  if (!active.empty()) run_shard(active.back());
-  for (std::thread& w : writers) w.join();
+  run_shard(last);
+  writers_->Wait();
 
   // Deterministic merge: assigned ids back into input row order, touched
   // ids translated and deduplicated globally.
@@ -255,24 +265,15 @@ std::uint32_t ShardedOnlineKnnGraph::InsertBatch(
 
 void ShardedOnlineKnnGraph::Remove(std::uint32_t g,
                                    std::vector<std::uint32_t>* repaired) {
-  const std::size_t num_shards = shards_.size();
-  if (num_shards == 1) {
-    shards_[0].Remove(g, repaired);
-    return;
+  const GlobalId id = GlobalId::Split(g, shards_.size());
+  const std::size_t from = repaired != nullptr ? repaired->size() : 0;
+  shards_[id.shard].Remove(id.slot, repaired);
+  if (repaired == nullptr) return;
+  // Translate only this call's appended slot ids (one shard, so ascending
+  // slots stay ascending globals).
+  for (std::size_t i = from; i < repaired->size(); ++i) {
+    (*repaired)[i] = ToGlobal(id.shard, (*repaired)[i]);
   }
-  const GlobalId id = GlobalId::Split(g, num_shards);
-  if (repaired == nullptr) {
-    shards_[id.shard].Remove(id.slot, nullptr);
-    return;
-  }
-  std::vector<std::uint32_t> local;
-  shards_[id.shard].Remove(id.slot, &local);
-  for (const std::uint32_t r : local) {
-    repaired->push_back(ToGlobal(id.shard, r));
-  }
-  std::sort(repaired->begin(), repaired->end());
-  repaired->erase(std::unique(repaired->begin(), repaired->end()),
-                  repaired->end());
 }
 
 void ShardedOnlineKnnGraph::CompactTombstones() {

@@ -33,11 +33,10 @@
 #include "common/matrix.h"
 #include "common/mutex.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "stream/online_knn_graph.h"
 
 namespace gkm {
-
-class ThreadPool;
 
 /// Shard-qualified point identity. Thin by design: conversions are two
 /// integer ops, so global ids travel as plain u32 everywhere (labels,
@@ -116,13 +115,14 @@ struct ReplicaTable {
 ///
 /// Concurrency model: one *logical* ingest caller (the streaming clusterer
 /// or an ingest loop) calls InsertBatch/Remove/CompactTombstones; inside
-/// InsertBatch, per-shard commits run on S concurrent writer threads, each
-/// taking only its own shard's writer lock. Any number of serving threads
-/// call SearchKnn/SearchKnnBatch concurrently with all of it. Determinism:
-/// shard assignment is a pure content hash, every shard is itself
-/// deterministic, and merged results are ordered by (dist, global id) — so
-/// the whole structure stays a pure function of the input sequence at any
-/// writer/pool thread count, for a fixed shard count.
+/// InsertBatch, per-shard commits run concurrently on the calling thread
+/// and the S-1 persistent writer threads the graph starts at construction,
+/// each taking only its own shard's writer lock. Any number of serving
+/// threads call SearchKnn/SearchKnnBatch concurrently with all of it.
+/// Determinism: shard assignment is a pure content hash, every shard is
+/// itself deterministic, and merged results are ordered by (dist, global
+/// id) — so the whole structure stays a pure function of the input
+/// sequence at any writer/pool thread count, for a fixed shard count.
 ///
 /// Lock discipline: this facade owns no lock. `shards_` and `params_` are
 /// written only during construction (immutable afterwards); every mutable
@@ -189,10 +189,11 @@ class ShardedOnlineKnnGraph {
 
   /// Batch insert of every row of `rows`, partitioned to shards by
   /// `placement` when given (one target shard per row — the streaming
-  /// clusterer's cluster-routed assignment), else by ShardOf. Per-shard
-  /// ingest runs on one writer thread per non-empty shard (walks
-  /// additionally fan out over `pool` when given), and commits of
-  /// different shards proceed concurrently under their own locks.
+  /// clusterer's cluster-routed assignment), else by ShardOf. Each
+  /// non-empty shard's ingest runs on a persistent writer thread or, for
+  /// the last one, the calling thread (walks additionally fan out over
+  /// `pool` when given); commits of different shards proceed concurrently
+  /// under their own locks. No thread is created per call.
   /// `assigned` (when non-null) receives every row's *global* id in row
   /// order; the first row's id is returned. `touched` collects global ids
   /// of pre-existing nodes whose lists changed (sorted, deduplicated).
@@ -210,8 +211,9 @@ class ShardedOnlineKnnGraph {
       const std::vector<std::uint32_t>* modes = nullptr);
 
   /// Tombstones global id `g` in its shard (repair + amortized purge as in
-  /// OnlineKnnGraph::Remove). `repaired` collects global ids (sorted,
-  /// deduplicated). Ingest-caller only.
+  /// OnlineKnnGraph::Remove). `repaired` gets this call's repaired global
+  /// ids appended (ascending and distinct within the call; the caller
+  /// dedupes across calls). Ingest-caller only.
   void Remove(std::uint32_t g, std::vector<std::uint32_t>* repaired = nullptr);
 
   /// Purges tombstones of every shard (see CompactTombstones there).
@@ -335,6 +337,11 @@ class ShardedOnlineKnnGraph {
 
   OnlineGraphParams params_;
   std::vector<OnlineKnnGraph> shards_;
+  // Persistent shard writers (S-1 threads; null at S=1). Only the ingest
+  // caller submits to them, inside InsertBatch, which waits for all of
+  // them before it returns — so Submit/Wait's single-submitter contract
+  // holds, and between windows they sleep on the pool's condvar.
+  std::unique_ptr<ThreadPool> writers_;
   // Published routing/replica generations: written by the ingest caller
   // (pointer swap under the writer side), snapshotted by readers under the
   // shared side. SharedMutex copy/move semantics (fresh mutex) keep the

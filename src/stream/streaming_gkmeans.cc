@@ -29,6 +29,13 @@ void ValidateParams(const StreamingGkMeansParams& params) {
                 "bootstrap window too small for k clusters");
 }
 
+// Route hints name at most one representative per cluster, so the
+// selection never holds more than k entries — clamping keeps an absurd
+// route_hints (e.g. from a corrupt checkpoint) from reserving memory.
+std::size_t RouteTopCapacity(const StreamingGkMeansParams& params) {
+  return std::max<std::size_t>(1, std::min(params.route_hints, params.k));
+}
+
 }  // namespace
 
 const char* ValidateStreamSnapshot(const StreamSnapshot& snap) {
@@ -174,8 +181,10 @@ StreamingGkMeans::StreamingGkMeans(std::size_t dim,
       graph_(dim, params.graph),
       state_(dim, params.k),
       cluster_reps_(params.k, kUnassigned),
+      shard_members_(params.k * params.graph.shards, 0),
       rng_(params.seed),
-      stamp_(params.k, 0) {
+      stamp_(params.k, 0),
+      route_top_(RouteTopCapacity(params)) {
   ValidateParams(params);
   cand_.reserve(params.kappa + 1);
 }
@@ -193,7 +202,8 @@ StreamingGkMeans::StreamingGkMeans(StreamSnapshot snap)
       rng_(snap.params.seed),
       windows_(snap.windows),
       bootstrapped_(snap.bootstrapped),
-      stamp_(snap.params.k, 0) {
+      stamp_(snap.params.k, 0),
+      route_top_(RouteTopCapacity(snap.params)) {
   // Every snapshot invariant was checked by ValidateStreamSnapshot in
   // FromSnapshot — the only route here — before this body runs (the
   // per-shard graph parts additionally re-validate inside the graph
@@ -208,6 +218,7 @@ StreamingGkMeans::StreamingGkMeans(StreamSnapshot snap)
                     std::move(snap.point_norms), snap.sum_point_norms);
   rng_.Restore(snap.rng);
   cand_.reserve(params_.kappa + 1);
+  RecountPlacement();
 }
 
 void StreamingGkMeans::ObserveWindow(const Matrix& window) {
@@ -225,9 +236,13 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
   // TTL expiry runs before ingest, against the window cursor the points
   // were aged by — so a checkpoint cut between windows resumes with the
   // exact same expiry schedule. Nodes whose lists the removal repair
-  // touched join the window's re-optimization scope below.
+  // touched join the window's re-optimization scope below; each removal
+  // only appends them, and the scope is sorted and deduplicated once.
   std::vector<std::uint32_t> touched;
-  ws.expired = ExpireTtl(&touched);
+  {
+    GKM_TRACE_SPAN("stream.expire");
+    ws.expired = ExpireTtl(&touched);
+  }
 
   // Centroids snapshotted at window start: they steer both insert routing
   // and the nearest-centroid assignment fallback.
@@ -235,26 +250,27 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
   Matrix centroids;
   if (was_bootstrapped) centroids = state_.Centroids();
 
-  // Route hints per row, computed in parallel against the window-start
-  // centroid snapshot (cluster state is read-only here). Routed placement
-  // additionally tags every row with its nearest cluster (its "mode"): the
-  // tag picks the row's home shard below and selects its per-mode adaptive
-  // seed budget inside the graph.
+  // Route hints per row, against the window-start centroid snapshot.
+  // Routed placement additionally tags every row with its nearest cluster
+  // (its "mode"): the tag picks the row's home shard below and selects its
+  // per-mode adaptive seed budget inside the graph. One k x d batch per
+  // row runs inline — cheaper than waking the pool for a few rows, and a
+  // fraction of the row's walk for large windows.
   const std::size_t rows = window.rows();
   std::vector<std::vector<std::uint32_t>> hints;
   std::vector<std::uint32_t> modes;
   const bool use_hints = was_bootstrapped && params_.route_hints > 0;
   const bool mode_tagged = was_bootstrapped && params_.routed_placement;
   if (use_hints || mode_tagged) {
-    PrepareRouteQuantizer(centroids);
+    GKM_TRACE_SPAN("stream.route");
     if (use_hints) hints.resize(rows);
     if (mode_tagged) modes.resize(rows);
-    pool_->ParallelFor(0, rows, [&](std::size_t r) {
-      thread_local std::vector<std::uint32_t> hint_scratch;
-      std::vector<std::uint32_t>& h = use_hints ? hints[r] : hint_scratch;
-      ComputeRouteHints(window.Row(r), centroids, h,
+    std::vector<std::uint32_t> no_hints;
+    for (std::size_t r = 0; r < rows; ++r) {
+      ComputeRouteHints(window.Row(r), centroids,
+                        use_hints ? hints[r] : no_hints,
                         mode_tagged ? &modes[r] : nullptr);
-    });
+    }
   }
   // Cluster-routed shard assignment: each row lands on its mode's home
   // shard — a pure function of the checkpointed centroid state, so the
@@ -283,14 +299,17 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
   labels_.resize(graph_.size(), kUnassigned);
   birth_window_.resize(graph_.size(), windows_);
   for (const std::uint32_t id : fresh) {
-    labels_[id] = kUnassigned;  // reclaimed slots carry no stale label
+    SetLabel(id, kUnassigned);  // reclaimed slots carry no stale label
     birth_window_[id] = windows_;
   }
 
   if (!bootstrapped_) {
     if (graph_.num_alive() >= params_.bootstrap_min) Bootstrap();
   } else {
-    for (const std::uint32_t id : fresh) AssignNew(id, centroids);
+    {
+      GKM_TRACE_SPAN("stream.assign");
+      for (const std::uint32_t id : fresh) AssignNew(id, centroids);
+    }
 
     // The re-optimization scope: the new points, every node whose neighbor
     // list adopted one of them, and the immediate graph neighborhood of
@@ -303,9 +322,18 @@ void StreamingGkMeans::ObserveWindow(const Matrix& window,
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     ws.touched = touched.size();
 
-    ws.moves = RunEpochs(touched, params_.epochs_per_window, &ws.epochs);
-    DriftAndReseed(touched, ws);
-    SplitMergeMaintain(ws);
+    {
+      GKM_TRACE_SPAN("stream.epochs.delta_i");
+      ws.moves = RunEpochs(touched, params_.epochs_per_window, &ws.epochs);
+    }
+    {
+      GKM_TRACE_SPAN("stream.epochs.drift");
+      DriftAndReseed(touched, ws);
+    }
+    {
+      GKM_TRACE_SPAN("stream.epochs.split_merge");
+      SplitMergeMaintain(ws);
+    }
 
     // Routed-placement maintenance: re-home clusters when TTL churn skewed
     // the shard loads, then drain a budgeted slice of the rows the window
@@ -356,9 +384,9 @@ void StreamingGkMeans::Bootstrap() {
   }
   const std::vector<std::uint32_t> live_labels = TwoMeansTree(live, tp, rng_);
   state_.Rebuild(live, live_labels);
-  labels_.assign(graph_.size(), kUnassigned);
+  labels_.resize(graph_.size(), kUnassigned);
   for (std::size_t i = 0; i < alive.size(); ++i) {
-    labels_[alive[i]] = live_labels[i];
+    SetLabel(alive[i], live_labels[i]);
   }
   for (const std::uint32_t i : alive) {
     cluster_reps_[labels_[i]] = i;
@@ -378,51 +406,19 @@ void StreamingGkMeans::Bootstrap() {
   }
 }
 
-void StreamingGkMeans::PrepareRouteQuantizer(const Matrix& centroids) {
-  route_sq8_ = params_.graph.storage == StorageMode::kSq8;
-  if (!route_sq8_) {
-    route_codes_.clear();
-    route_norms_.clear();
-    return;
-  }
-  // k is small, so re-training per window is cheap and the table always
-  // matches the snapshot the window's hints are defined against. Train +
-  // encode are deterministic, so hints — and through them the graph — stay
-  // a pure function of the input stream.
-  const std::size_t d = dim();
-  route_qz_ = Sq8Train(centroids.Row(0), centroids.stride(), params_.k, d);
-  route_codes_.assign(params_.k * d, 0);
-  route_norms_.assign(params_.k, 0.0f);
-  for (std::size_t c = 0; c < params_.k; ++c) {
-    Sq8Encode(route_qz_, centroids.Row(c), d, route_codes_.data() + c * d,
-              &route_norms_[c]);
-  }
-}
-
 void StreamingGkMeans::ComputeRouteHints(const float* x,
                                          const Matrix& centroids,
                                          std::vector<std::uint32_t>& hints,
-                                         std::uint32_t* nearest_active)
-    const {
+                                         std::uint32_t* nearest_active) {
   // One strided batch over the centroid table (runs per inserted point, so
   // this is an ingest hot path); pushes visit clusters in the same order
-  // as the scalar loop did.
+  // as the scalar loop did. The rows are fp32 even in SQ8 mode (they are
+  // not encoded yet), so the ranking is exact and tier-independent.
   hints.clear();
-  thread_local std::vector<float> dist;
+  std::vector<float>& dist = route_dist_;
   dist.resize(params_.k);
-  if (route_sq8_) {
-    // Quantized routing: rank centroids with the asymmetric SQ8 kernel
-    // over the per-window encoded table. Approximate distances are fine
-    // here — a mis-ranked hint costs one extra walk hop, never correctness
-    // — and the integer path keeps the ranking bit-identical across tiers.
-    thread_local Sq8Query sq;
-    Sq8PrepareQuery(route_qz_, x, dim(), sq);
-    L2SqrBatchSq8(sq, route_codes_.data(), dim(), params_.k, dim(),
-                  route_norms_.data(), dist.data());
-  } else {
-    L2SqrBatch(x, centroids.Row(0), centroids.stride(), params_.k, dim(),
-               dist.data());
-  }
+  L2SqrBatch(x, centroids.Row(0), centroids.stride(), params_.k, dim(),
+             dist.data());
   // The routing mode: nearest non-empty cluster (tie → lowest id; strict <
   // over an ascending scan gives exactly that). Unlike a hint, a mode does
   // not need a live representative — it names a cluster, not a node.
@@ -439,7 +435,8 @@ void StreamingGkMeans::ComputeRouteHints(const float* x,
     *nearest_active = best;
   }
   if (params_.route_hints == 0) return;  // mode-only call (hints disabled)
-  TopK nearest(params_.route_hints);
+  TopK& nearest = route_top_;
+  nearest.Clear();
   for (std::size_t c = 0; c < params_.k; ++c) {
     if (state_.CountOf(c) == 0 || cluster_reps_[c] == kUnassigned) continue;
     nearest.Push(static_cast<std::uint32_t>(c), dist[c]);
@@ -478,7 +475,7 @@ void StreamingGkMeans::AssignNew(std::uint32_t id, const Matrix& centroids) {
     best = static_cast<std::uint32_t>(NearestRow(centroids, x));
   }
   state_.AddPoint(x, best);
-  labels_[id] = best;
+  SetLabel(id, best);
   cluster_reps_[best] = id;
 }
 
@@ -537,7 +534,7 @@ std::size_t StreamingGkMeans::RunEpochs(const std::vector<std::uint32_t>& ids,
       if (best_v == u) continue;
       if (best_gain + state_.GainLeave(x, xn, u) > 0.0) {
         state_.Move(x, u, best_v);
-        labels_[i] = best_v;
+        SetLabel(i, best_v);
         cluster_reps_[best_v] = i;
         ++moves;
       }
@@ -610,7 +607,7 @@ void StreamingGkMeans::DriftAndReseed(
     }
     if (seed_id == kUnassigned) break;
     state_.Move(graph_.Point(seed_id), donor, r);
-    labels_[seed_id] = r;
+    SetLabel(seed_id, static_cast<std::uint32_t>(r));
     cluster_reps_[r] = seed_id;
     ++ws.reseeded;
     cur = state_.Centroids();
@@ -682,7 +679,8 @@ void StreamingGkMeans::SplitMergeMaintain(WindowStats& ws) {
     std::vector<std::uint32_t> members;
     for (std::size_t i = 0; i < labels_.size(); ++i) {
       if (labels_[i] == mb) {
-        labels_[i] = ma;
+        SetLabel(static_cast<std::uint32_t>(i),
+                 static_cast<std::uint32_t>(ma));
         cluster_reps_[ma] = static_cast<std::uint32_t>(i);
       } else if (labels_[i] == sc) {
         members.push_back(static_cast<std::uint32_t>(i));
@@ -745,7 +743,7 @@ void StreamingGkMeans::SplitMergeMaintain(WindowStats& ws) {
       if (side[m] == 0) continue;
       if (state_.CountOf(sc) < 2) break;
       state_.Move(graph_.Point(members[m]), sc, mb);
-      labels_[members[m]] = mb;
+      SetLabel(members[m], static_cast<std::uint32_t>(mb));
       cluster_reps_[mb] = members[m];
     }
     ++ws.split_merges;
@@ -765,7 +763,7 @@ void StreamingGkMeans::AssignClusterHomes() {
   const std::size_t S = graph_.num_shards();
   const std::size_t k = params_.k;
   cluster_home_.assign(k, 0);
-  if (S < 2) return;
+  if (S < 2) return;  // one shard: nothing is ever misplaced
   // Deterministic LPT greedy over the checkpointed counts: largest
   // clusters first, each onto the least-loaded shard so far (ties break to
   // the lowest cluster id / shard index).
@@ -786,6 +784,7 @@ void StreamingGkMeans::AssignClusterHomes() {
     cluster_home_[c] = static_cast<std::uint32_t>(best);
     load[best] += state_.CountOf(c);
   }
+  RecountPlacement();
 }
 
 std::size_t StreamingGkMeans::RebalanceHomes() {
@@ -832,6 +831,9 @@ std::size_t StreamingGkMeans::RebalanceHomes() {
         load[hi]) {
       break;
     }
+    // The victim's rows on `lo` come home; the ones on `hi` leave it.
+    misplaced_ += shard_members_[victim * S + hi];
+    misplaced_ -= shard_members_[victim * S + lo];
     cluster_home_[victim] = static_cast<std::uint32_t>(lo);
     ++moves;
   }
@@ -844,18 +846,25 @@ std::size_t StreamingGkMeans::RebalanceHomes() {
 
 std::size_t StreamingGkMeans::MigrateMisplaced(std::size_t budget) {
   const std::size_t S = graph_.num_shards();
-  if (S < 2 || cluster_home_.empty() || budget == 0) return 0;
+  if (S < 2 || cluster_home_.empty() || budget == 0 || misplaced_ == 0) {
+    return 0;
+  }
   GKM_TRACE_SPAN("stream.migrate");
   Matrix one(1, dim());
   std::vector<std::uint32_t> place1(1), mode1(1), fresh1;
   std::size_t moved = 0;
+  std::size_t scanned = 0;
   // The scan bound is frozen: a re-inserted row that lands past it is
   // already home, and a slot reclaimed behind the cursor waits for the
-  // next window's sweep. No resume cursor on purpose — a checkpoint cut
-  // mid-sweep captures everything the next sweep needs in cluster_home_
-  // and labels_.
+  // next window's sweep. Every move lands on the home shard, so the sweep
+  // stops as soon as misplaced_ reaches 0 — after the last misplaced row,
+  // with the same moves a scan to the bound would make. No resume cursor
+  // on purpose — a checkpoint cut mid-sweep captures everything the next
+  // sweep needs in cluster_home_ and labels_.
   const std::size_t limit = labels_.size();
-  for (std::size_t i = 0; i < limit && moved < budget; ++i) {
+  for (std::size_t i = 0; i < limit && moved < budget && misplaced_ > 0;
+       ++i) {
+    ++scanned;
     const std::uint32_t l = labels_[i];
     if (l == kUnassigned) continue;
     const std::uint32_t home = cluster_home_[l];
@@ -869,7 +878,7 @@ std::size_t StreamingGkMeans::MigrateMisplaced(std::size_t budget) {
     // cluster statistics never see the hop (the point does not change
     // cluster), so composites stay bit-identical across any migration
     // schedule.
-    labels_[i] = kUnassigned;
+    SetLabel(id, kUnassigned);
     graph_.Remove(id, nullptr);
     place1[0] = home;
     mode1[0] = l;
@@ -879,17 +888,52 @@ std::size_t StreamingGkMeans::MigrateMisplaced(std::size_t budget) {
     const std::uint32_t ng = fresh1[0];
     labels_.resize(graph_.size(), kUnassigned);
     birth_window_.resize(graph_.size(), windows_);
-    labels_[ng] = l;
+    SetLabel(ng, l);
     birth_window_[ng] = birth;  // TTL clock survives the move
     for (std::uint32_t& rep : cluster_reps_) {
       if (rep == id) rep = ng;
     }
     ++moved;
   }
+  GKM_COUNTER_ADD("stream.migrate.scanned",
+                  static_cast<std::int64_t>(scanned));
   if (moved > 0) {
     GKM_COUNTER_ADD("stream.migrate.rows", static_cast<std::int64_t>(moved));
   }
   return moved;
+}
+
+void StreamingGkMeans::SetLabel(std::uint32_t id, std::uint32_t label) {
+  const std::uint32_t old = labels_[id];
+  if (old == label) return;
+  const std::size_t S = graph_.num_shards();
+  const std::uint32_t shard = GlobalId::Split(id, S).shard;
+  const bool homed = !cluster_home_.empty();
+  if (old != kUnassigned) {
+    --shard_members_[old * S + shard];
+    if (homed && cluster_home_[old] != shard) --misplaced_;
+  }
+  if (label != kUnassigned) {
+    ++shard_members_[label * S + shard];
+    if (homed && cluster_home_[label] != shard) ++misplaced_;
+  }
+  labels_[id] = label;
+}
+
+void StreamingGkMeans::RecountPlacement() {
+  const std::size_t S = graph_.num_shards();
+  shard_members_.assign(params_.k * S, 0);
+  for (std::size_t i = 0; i < labels_.size(); ++i) {
+    if (labels_[i] == kUnassigned) continue;
+    ++shard_members_[labels_[i] * S + i % S];
+  }
+  misplaced_ = 0;
+  if (cluster_home_.empty()) return;
+  for (std::size_t c = 0; c < params_.k; ++c) {
+    for (std::size_t s = 0; s < S; ++s) {
+      if (s != cluster_home_[c]) misplaced_ += shard_members_[c * S + s];
+    }
+  }
 }
 
 void StreamingGkMeans::PublishReadState() {
@@ -937,7 +981,7 @@ void StreamingGkMeans::RetirePoint(std::uint32_t id,
                                    std::vector<std::uint32_t>* repaired) {
   if (labels_[id] != kUnassigned) {
     state_.RemovePoint(graph_.Point(id), labels_[id]);
-    labels_[id] = kUnassigned;
+    SetLabel(id, kUnassigned);
   }
   // A representative must stay a live routable node; the cluster regains
   // one on its next assignment or move.

@@ -25,6 +25,7 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "common/top_k.h"
 #include "kmeans/cluster_state.h"
 #include "kmeans/types.h"
 #include "stream/sharded_online_knn_graph.h"
@@ -75,10 +76,10 @@ struct StreamingGkMeansParams {
   /// Diagnostics retained: history() keeps the stats of the most recent
   /// this-many windows (the stream is unbounded; the process must not be).
   std::size_t history_limit = 4096;
-  /// Worker threads for window ingest (route-hint scoring and candidate
-  /// walks); 0 means all hardware threads. Pure execution knob: the model
-  /// produced is bit-identical at any value, so it is not persisted in
-  /// checkpoints — a resumed process picks its own.
+  /// Worker threads for the window's graph candidate walks; 0 means all
+  /// hardware threads. Pure execution knob: the model produced is
+  /// bit-identical at any value, so it is not persisted in checkpoints — a
+  /// resumed process picks its own.
   std::size_t ingest_threads = 0;
   std::uint64_t seed = 42;
   /// Cluster-routed shard placement ("Cluster-and-Conquer"): every cluster
@@ -177,10 +178,10 @@ class StreamingGkMeans {
   /// graph, assigns, and re-optimizes the touched neighborhoods. Before
   /// `bootstrap_min` points have accumulated the rows are only inserted;
   /// the first window that crosses the threshold triggers batch
-  /// initialization of the clustering. Route-hint scoring and the graph
-  /// candidate walks fan out over `ingest_threads` workers; the result is
-  /// bit-identical at any thread count. Serving threads may call
-  /// graph().SearchKnn concurrently with this.
+  /// initialization of the clustering. The graph candidate walks fan out
+  /// over `ingest_threads` workers; the result is bit-identical at any
+  /// thread count. Serving threads may call graph().SearchKnn concurrently
+  /// with this.
   void ObserveWindow(const Matrix& window);
 
   /// As above, additionally reporting the global id assigned to each row
@@ -218,6 +219,11 @@ class StreamingGkMeans {
   const std::vector<std::uint32_t>& cluster_home() const {
     return cluster_home_;
   }
+  /// Labeled rows whose shard differs from their cluster's home (routed
+  /// placement; 0 otherwise) — what the migration sweep still has to move.
+  /// Derived state, kept current by every label write and re-home, rebuilt
+  /// on restore, never checkpointed.
+  std::size_t misplaced_rows() const { return misplaced_; }
 
   /// Rebuilds and republishes the derived read state — the query router
   /// (post-window centroids + cluster homes) and the read replicas — from
@@ -250,22 +256,23 @@ class StreamingGkMeans {
 
   /// Fills `hints` with the representatives of the route_hints clusters
   /// whose centroids are nearest `x` — the walk entry points for Insert.
-  /// Reads only cluster state (and the per-window route quantizer), so rows
-  /// of a window run it concurrently. In SQ8 mode centroids are scored
-  /// through the quantized asymmetric kernel — hints are routing aids, not
-  /// invariants, so the cheaper approximate ranking is sound.
-  /// When `nearest_active` is non-null it additionally receives the id of
-  /// the nearest non-empty cluster (tie → lowest id; UINT32_MAX when every
-  /// cluster is empty) — the row's routing mode for placement and the
-  /// per-mode seed budgets.
+  /// Centroids are ranked by exact fp32 distance in every storage mode (one
+  /// k x d batch, no per-window table to build). When `nearest_active` is
+  /// non-null it additionally receives the id of the nearest non-empty
+  /// cluster (tie → lowest id; UINT32_MAX when every cluster is empty) —
+  /// the row's routing mode for placement and the per-mode seed budgets.
+  /// Runs on the ingest thread with reused scratch.
   void ComputeRouteHints(const float* x, const Matrix& centroids,
                          std::vector<std::uint32_t>& hints,
-                         std::uint32_t* nearest_active = nullptr) const;
+                         std::uint32_t* nearest_active = nullptr);
 
-  /// Rebuilds the per-window SQ8 centroid table ComputeRouteHints scores
-  /// against (kSq8 mode only; clears it otherwise). Called once per window
-  /// before the parallel hint pass, on the window-start centroid snapshot.
-  void PrepareRouteQuantizer(const Matrix& centroids);
+  /// The single writer of labels_: keeps the per-cluster-per-shard member
+  /// counts and misplaced_ in step with the label.
+  void SetLabel(std::uint32_t id, std::uint32_t label);
+
+  /// Rebuilds shard_members_ from labels_ and misplaced_ from those counts
+  /// and cluster_home_ (restore, and after the bootstrap home assignment).
+  void RecountPlacement();
 
   /// Assigns a freshly inserted node by the best arrival gain among its
   /// graph neighbors' clusters (nearest centroid when none are labeled
@@ -316,9 +323,11 @@ class StreamingGkMeans {
   /// to `budget` live rows whose shard differs from their cluster's home —
   /// graph node re-inserted on the home shard, label/birth-window/
   /// representative bookkeeping carried over, cluster statistics untouched
-  /// (the point never leaves its cluster). Stateless by design (no resume
-  /// cursor): a checkpoint taken mid-migration captures everything the
-  /// next sweep needs in cluster_home_ + labels_. Returns rows moved.
+  /// (the point never leaves its cluster). Returns at once when nothing is
+  /// misplaced and stops after the last misplaced row, so a settled model
+  /// pays nothing. Stateless by design (no resume cursor): a checkpoint
+  /// taken mid-migration captures everything the next sweep needs in
+  /// cluster_home_ + labels_. Returns rows moved.
   std::size_t MigrateMisplaced(std::size_t budget);
 
   // Lock discipline: the clusterer owns no lock, and every field below is
@@ -344,6 +353,11 @@ class StreamingGkMeans {
   /// when routing is off). Checkpointed — placement must survive restarts
   /// bit-for-bit.
   std::vector<std::uint32_t> cluster_home_;
+  /// Labeled rows per (cluster, shard), k x S row-major, and the derived
+  /// count of labeled rows off their cluster's home shard. Both follow
+  /// labels_ through SetLabel; never checkpointed.
+  std::vector<std::uint32_t> shard_members_;
+  std::size_t misplaced_ = 0;
   /// Window index each slot's point was ingested in (TTL bookkeeping;
   /// resized with the arena, stale for reclaimed slots until reuse).
   std::vector<std::uint64_t> birth_window_;
@@ -359,13 +373,10 @@ class StreamingGkMeans {
   std::vector<Neighbor> nbr_scratch_;
   std::vector<std::uint32_t> nbr_ids_;
   std::vector<double> gain_scratch_;  // batched GainArrive results
-  // Per-window SQ8 route-hint table (kSq8 mode, rebuilt each window from
-  // the centroid snapshot): quantizer + packed centroid codes/norms.
-  // Ephemeral routing state — never checkpointed.
-  bool route_sq8_ = false;
-  Sq8Quantizer route_qz_;
-  std::vector<std::uint8_t> route_codes_;
-  std::vector<float> route_norms_;
+  // Route-hint scratch, reused row after row: centroid distances and the
+  // nearest-cluster selection (capacity max(route_hints, 1)).
+  std::vector<float> route_dist_;
+  TopK route_top_;
 };
 
 }  // namespace gkm

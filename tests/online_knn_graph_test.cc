@@ -619,6 +619,45 @@ TEST(OnlineKnnGraphTest, Sq8ArenaTrainsAtBootstrapAndDropsFp32Rows) {
   }
 }
 
+TEST(OnlineKnnGraphTest, Sq8RemovalRepairEdgesAreExactOverDecodedRows) {
+  // Removal repair scores the ring in the decoded value space: every edge
+  // the repair adds must carry exactly L2Sqr over the two decoded rows.
+  const SyntheticData data = StreamData(600);
+  OnlineGraphParams p = Sq8Params();
+  p.bootstrap = 128;
+  OnlineKnnGraph g = InsertAll(data.vectors, p);
+  ASSERT_TRUE(g.sq8_trained());
+  std::size_t added = 0;
+  for (std::uint32_t victim = 0; victim < 600; victim += 37) {
+    std::vector<std::uint32_t> ring;
+    for (const Neighbor& nb : g.graph().NeighborsOf(victim)) {
+      if (g.IsAlive(nb.id)) ring.push_back(nb.id);
+    }
+    std::vector<std::vector<Neighbor>> before(ring.size());
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const auto& list = g.graph().NeighborsOf(ring[i]);
+      before[i].assign(list.begin(), list.end());
+    }
+    g.Remove(victim);
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      for (const Neighbor& nb : g.graph().NeighborsOf(ring[i])) {
+        const bool kept =
+            std::any_of(before[i].begin(), before[i].end(),
+                        [&](const Neighbor& old) { return old.id == nb.id; });
+        if (kept) continue;
+        ASSERT_NE(std::find(ring.begin(), ring.end(), nb.id), ring.end())
+            << "repair linked " << ring[i] << " outside its ring";
+        const float* a = g.PointPtr(ring[i]);  // two decode-ring slots
+        const float* b = g.PointPtr(nb.id);
+        EXPECT_EQ(nb.dist, L2Sqr(a, b, 16))
+            << "edge " << ring[i] << " -> " << nb.id;
+        ++added;
+      }
+    }
+  }
+  EXPECT_GT(added, 0u) << "no removal added an edge; the test is vacuous";
+}
+
 TEST(OnlineKnnGraphTest, Sq8RecallAtLeast08On2kPoints) {
   const SyntheticData data = StreamData(2000);
   OnlineGraphParams p = Sq8Params();

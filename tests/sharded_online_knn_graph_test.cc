@@ -234,13 +234,21 @@ TEST(ShardedOnlineKnnGraphTest, TouchedAndRepairedIdsAreGlobalSortedUnique) {
             touched.end());
   for (const std::uint32_t g : touched) EXPECT_LT(g, graph.size());
 
+  // Remove appends each call's repaired ids — global, sorted and unique
+  // within the call — and leaves deduplication across calls to the caller.
   std::vector<std::uint32_t> repaired;
+  std::size_t calls = 0;
   for (std::uint32_t g = 0; g < 40; ++g) {
-    if (graph.IsAlive(g)) graph.Remove(g, &repaired);
+    if (!graph.IsAlive(g)) continue;
+    const std::size_t from = repaired.size();
+    graph.Remove(g, &repaired);
+    ++calls;
+    const auto first = repaired.begin() + static_cast<std::ptrdiff_t>(from);
+    EXPECT_TRUE(std::is_sorted(first, repaired.end()));
+    EXPECT_EQ(std::adjacent_find(first, repaired.end()), repaired.end());
   }
-  EXPECT_TRUE(std::is_sorted(repaired.begin(), repaired.end()));
-  EXPECT_EQ(std::adjacent_find(repaired.begin(), repaired.end()),
-            repaired.end());
+  EXPECT_GT(calls, 0u);
+  EXPECT_FALSE(repaired.empty());
   for (const std::uint32_t g : repaired) EXPECT_LT(g, graph.size());
 }
 

@@ -4,6 +4,7 @@
 // byte-identity across thread counts and across a save/resume that lands
 // mid-migration, replica read equality, and the GKMC v6 round trip.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -14,6 +15,7 @@
 
 #include "dataset/synthetic.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "stream/checkpoint.h"
 #include "stream/sharded_online_knn_graph.h"
 #include "stream/streaming_gkmeans.h"
@@ -134,6 +136,92 @@ TEST(StreamRoutingTest, RoutedPlacementKeepsPointsOnHomeShards) {
   const SyntheticData more = StreamData(600, 31);
   Feed(model, more.vectors, 200);
   expect_placed();
+}
+
+// Misplaced rows recounted from scratch: labeled rows whose shard (id % S)
+// is not their cluster's home.
+std::size_t RecountMisplaced(const StreamingGkMeans& model) {
+  if (model.cluster_home().empty()) return 0;
+  const std::size_t S = model.graph().num_shards();
+  std::size_t misplaced = 0;
+  for (std::uint32_t g = 0; g < model.labels().size(); ++g) {
+    const std::uint32_t label = model.labels()[g];
+    if (label != kUnassigned && g % S != model.cluster_home()[label]) {
+      ++misplaced;
+    }
+  }
+  return misplaced;
+}
+
+TEST(StreamRoutingTest, MisplacedCountMatchesRecountThroughChurnAndRestore) {
+  StreamingGkMeansParams p = RoutedParams();
+  // A small budget leaves rows outstanding across windows, and a low
+  // rebalance threshold forces re-homes once removals skew the shards.
+  p.migrate_budget = 3;
+  p.rebalance_threshold = 0.02;
+  StreamingGkMeans model(kDim, p);
+  const SyntheticData data = StreamData(2400);
+  std::size_t rehomed = 0;
+  const auto observe = [&](StreamingGkMeans& m, const Matrix& rows) {
+    for (std::size_t b = 0; b < rows.rows(); b += 100) {
+      m.ObserveWindow(SliceRows(rows, b, std::min(b + 100, rows.rows())));
+      ASSERT_EQ(m.misplaced_rows(), RecountMisplaced(m))
+          << "after window " << m.windows_seen();
+      rehomed += m.history().back().rehomed;
+    }
+  };
+
+  // Bootstrap (its unbudgeted migration) and steady windows.
+  observe(model, SliceRows(data.vectors, 0, 1000));
+  ASSERT_TRUE(model.bootstrapped());
+  // Removals: drain most of shard 0 so the rebalancer re-homes clusters.
+  for (std::uint32_t g = 0; g < model.labels().size(); g += 4) {
+    if (model.labels()[g] == kUnassigned) continue;
+    model.RemovePoint(g);
+    ASSERT_EQ(model.misplaced_rows(), RecountMisplaced(model));
+  }
+  observe(model, SliceRows(data.vectors, 1000, 1200));
+  EXPECT_GT(rehomed, 0u) << "the rebalancer never re-homed a cluster";
+  // The budget leaves re-homed rows outstanding at the cut, so the restore
+  // below has a non-zero count to rebuild.
+  ASSERT_GT(model.misplaced_rows(), 0u);
+
+  // Restore rebuilds the (never checkpointed) count from labels + homes.
+  const std::string path = TempPath("routed_misplaced.ckpt");
+  SaveStreamCheckpoint(path, model);
+  StreamingGkMeans back = LoadStreamCheckpoint(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(back.misplaced_rows(), model.misplaced_rows());
+  EXPECT_EQ(back.misplaced_rows(), RecountMisplaced(back));
+  observe(back, SliceRows(data.vectors, 1200, 2400));
+}
+
+TEST(StreamRoutingTest, MigrationSweepScansNothingOnStationaryModel) {
+  // The serving shape: no split/merge, no drift epochs, no churn. Rows are
+  // placed on their mode's home shard and their graph neighbours live
+  // there too, so after the bootstrap migration nothing is ever misplaced
+  // and the per-window sweep must not inspect a single slot.
+  StreamingGkMeansParams p = RoutedParams();
+  p.max_splits_per_window = 0;
+  p.drift_threshold = 0.0;
+  StreamingGkMeans model(kDim, p);
+  const SyntheticData data = StreamData(2400);
+  Feed(model, SliceRows(data.vectors, 0, 400), 400);
+  ASSERT_TRUE(model.bootstrapped());
+  EXPECT_EQ(model.misplaced_rows(), 0u);
+#if GKM_STATS_ENABLED
+  obs::Counter& scanned =
+      obs::MetricsRegistry::Global().GetCounter("stream.migrate.scanned");
+  const std::int64_t before = scanned.Value();
+#endif
+  for (std::size_t b = 400; b < 2400; b += 20) {
+    model.ObserveWindow(SliceRows(data.vectors, b, b + 20));
+    ASSERT_EQ(model.misplaced_rows(), 0u) << "window " << model.windows_seen();
+    EXPECT_EQ(model.history().back().migrated, 0u);
+  }
+#if GKM_STATS_ENABLED
+  EXPECT_EQ(scanned.Value(), before);
+#endif
 }
 
 TEST(StreamRoutingTest, RoutedSearchKeepsMergedQuality) {
